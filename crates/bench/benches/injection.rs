@@ -8,12 +8,12 @@ use realm_inject::{
     targeting::Target,
 };
 use realm_llm::{config::ModelConfig, model::Model, Component, NoopHook};
-use realm_tensor::{rng, MatI32};
+use realm_tensor::rng;
 
 fn bench_error_models(c: &mut Criterion) {
     let mut group = c.benchmark_group("error_models");
     group.sample_size(30);
-    let acc = MatI32::filled(128, 128, 12345);
+    let acc = vec![12345i32; 128 * 128];
     for (label, ber) in [("ber_1e-6", 1e-6), ("ber_1e-3", 1e-3), ("ber_1e-2", 1e-2)] {
         let model = BitFlipModel::high_bits(ber);
         group.bench_with_input(BenchmarkId::new("bitflip", label), &ber, |b, _| {

@@ -44,6 +44,20 @@ impl InjectionStats {
             self.gemms_corrupted as f64 / self.gemms_targeted as f64
         }
     }
+
+    /// Books `injected` errors from one targeted GEMM, attributing them to `sequence` when
+    /// the originating sequence is known.
+    fn book(&mut self, ctx: &GemmContext, injected: usize, sequence: Option<usize>) {
+        if injected == 0 {
+            return;
+        }
+        self.errors_injected += injected as u64;
+        *self.per_component.entry(ctx.component).or_insert(0) += injected as u64;
+        *self.per_stage.entry(ctx.stage).or_insert(0) += injected as u64;
+        if let Some(seq) = sequence {
+            *self.per_sequence.entry(seq).or_insert(0) += injected as u64;
+        }
+    }
 }
 
 /// A time-correlated burst schedule in engine steps: `burst_steps` of injection, then
@@ -215,20 +229,6 @@ impl<M: ErrorModel> ErrorInjector<M> {
 }
 
 impl<M: ErrorModel> ErrorInjector<M> {
-    /// Books the statistics for `injected` errors from one targeted GEMM, attributing them
-    /// to `sequence` when the originating sequence is known.
-    fn book(&mut self, ctx: &GemmContext, injected: usize, sequence: Option<usize>) {
-        if injected == 0 {
-            return;
-        }
-        self.stats.errors_injected += injected as u64;
-        *self.stats.per_component.entry(ctx.component).or_insert(0) += injected as u64;
-        *self.stats.per_stage.entry(ctx.stage).or_insert(0) += injected as u64;
-        if let Some(seq) = sequence {
-            *self.stats.per_sequence.entry(seq).or_insert(0) += injected as u64;
-        }
-    }
-
     /// Applies the fault model to a targeted accumulator and books the statistics.
     /// Returns the number of injected errors.
     fn corrupt_targeted(&mut self, ctx: &GemmContext, acc: &mut MatI32) -> usize {
@@ -249,8 +249,7 @@ impl<M: ErrorModel> ErrorInjector<M> {
             // batched campaign injects into exactly the sequences a per-sequence campaign
             // would have.
             (GemmOrigin::BatchedRows, Some(filter)) => {
-                let filter: Vec<usize> = filter.iter().copied().collect();
-                let Some(parts) = self.partition.clone() else {
+                let Some(parts) = &self.partition else {
                     return 0; // No partition announced: nothing safely attributable.
                 };
                 // A stale partition (e.g. a hand-driven batched GEMM after a differently
@@ -259,36 +258,28 @@ impl<M: ErrorModel> ErrorInjector<M> {
                 if parts.total_rows() != acc.rows() {
                     return 0;
                 }
+                // A row range of the row-major accumulator is one contiguous slice.
+                let cols = acc.cols();
                 let mut total = 0usize;
-                for seq in filter {
-                    if seq >= parts.num_groups() {
+                for &seq in filter {
+                    if seq >= parts.num_groups() || parts.len(seq) == 0 {
                         continue;
                     }
-                    let range = parts.range(seq);
-                    if range.is_empty() {
-                        continue;
-                    }
-                    let mut sub = acc
-                        .rows_slice(range.start, range.len())
-                        .expect("partition rows verified against the accumulator");
-                    let injected = self.model.corrupt(&mut self.rng, &mut sub);
-                    if injected > 0 {
-                        for (i, r) in range.enumerate() {
-                            acc.row_mut(r).copy_from_slice(sub.row(i));
-                        }
-                        self.book(ctx, injected, Some(seq));
-                        total += injected;
-                    }
+                    let rows = parts.range(seq);
+                    let slice = &mut acc.as_mut_slice()[rows.start * cols..rows.end * cols];
+                    let injected = self.model.corrupt(&mut self.rng, slice);
+                    self.stats.book(ctx, injected, Some(seq));
+                    total += injected;
                 }
                 total
             }
             _ => {
-                let injected = self.model.corrupt(&mut self.rng, acc);
+                let injected = self.model.corrupt(&mut self.rng, acc.as_mut_slice());
                 let sequence = match ctx.origin {
                     GemmOrigin::Sequence(seq) => Some(seq),
                     GemmOrigin::BatchedRows => None,
                 };
-                self.book(ctx, injected, sequence);
+                self.stats.book(ctx, injected, sequence);
                 injected
             }
         }
@@ -331,7 +322,10 @@ impl<M: ErrorModel> GemmHook for ErrorInjector<M> {
     }
 
     fn on_batch_begin(&mut self, partition: &RowPartition) {
-        self.partition = Some(partition.clone());
+        match &mut self.partition {
+            Some(parts) => parts.clone_from(partition),
+            None => self.partition = Some(partition.clone()),
+        }
     }
 
     fn on_step_begin(&mut self, step: u64) {

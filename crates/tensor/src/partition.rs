@@ -33,10 +33,24 @@ use std::ops::Range;
 /// assert!(parts.range(1).is_empty());
 /// assert_eq!(parts.group_of_row(4), Some(2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RowPartition {
     /// Cumulative row offsets; `offsets.len() == num_groups + 1` and `offsets[0] == 0`.
     offsets: Vec<usize>,
+}
+
+// Written out so `clone_from` reuses the offsets buffer: hooks keep a copy of the partition
+// announced before every batched forward.
+impl Clone for RowPartition {
+    fn clone(&self) -> Self {
+        Self {
+            offsets: self.offsets.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.offsets.clone_from(&source.offsets);
+    }
 }
 
 impl RowPartition {

@@ -240,7 +240,7 @@ fn magfreq_model_msd_matches_definition() {
         let model = MagFreqModel::new(1i64 << log2_mag, freq);
         let mut acc = realm::tensor::MatI32::zeros(16, 16);
         let mut trial_rng = rng::seeded(seed);
-        let injected = model.corrupt(&mut trial_rng, &mut acc);
+        let injected = model.corrupt(&mut trial_rng, acc.as_mut_slice());
         assert_eq!(injected, freq.min(256));
         let sum: i64 = acc.iter().map(|&v| v as i64).sum();
         assert_eq!(sum, model.mag * injected as i64);

@@ -18,11 +18,23 @@
 //! consume the resident tiles read-only, so the steady-state zero-allocation contract below
 //! now covers the packed path by default (and the unpacked path via
 //! `Model::set_weight_packing(false)`).
+//!
+//! The same contract holds under fault injection: an armed `ErrorInjector` chained before
+//! the statistical protector samples its faults without touching the heap, and the
+//! protector's detection and in-place recovery of those faults reuse its scratch.
+//!
+//! The counter is process-global and the harness runs tests on parallel threads, so every
+//! test holds [`serial`]'s lock for its whole body: a measured window counts only its own
+//! test's allocations — including those on the TP rank threads it drives, which a
+//! thread-local counter would miss.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use realm::core::SchemeProtector;
+use realm::inject::{BitFlipModel, ErrorInjector, MagFreqModel, VoltageBerCurve};
+use realm::llm::hooks::HookChain;
 use realm::llm::model::argmax_with_margin;
 use realm::llm::{config::ModelConfig, model::Model, GemmHook, NoopHook};
 use realm::systolic::{Dataflow, ProtectionScheme, SystolicArray};
@@ -57,6 +69,16 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Serialises the tests of this binary. A test that panicked while holding the lock has
+/// already reported its failure, so a poisoned lock is simply taken over. The harness
+/// records that failure while the next test runs, so read the first failure of a run: a
+/// later short-window test can also count the harness's allocations.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A model on the given backend with a context window large enough that the measured
 /// decode window never crosses a workspace capacity ceiling mid-measurement.
 fn model_on(engine: EngineKind) -> Model {
@@ -68,6 +90,14 @@ fn model_on(engine: EngineKind) -> Model {
 
 fn reference_model() -> Model {
     model_on(EngineKind::Reference)
+}
+
+/// An always-on statistical-ABFT protector.
+fn statistical_protector() -> SchemeProtector {
+    SchemeProtector::with_default_regions(
+        ProtectionScheme::StatisticalAbft,
+        SystolicArray::small(Dataflow::WeightStationary),
+    )
 }
 
 /// Runs `steps` greedy decode steps through one long-lived workspace and returns the
@@ -103,6 +133,7 @@ fn count_decode_allocations(
 
 #[test]
 fn decode_steps_after_warmup_allocate_nothing() {
+    let _serial = serial();
     let model = reference_model();
     let sanity = ALLOCATIONS.load(Ordering::Relaxed);
     assert!(sanity > 0, "the counting allocator is installed");
@@ -118,6 +149,7 @@ fn decode_steps_after_warmup_allocate_nothing() {
 
 #[test]
 fn simd_decode_steps_after_warmup_allocate_nothing() {
+    let _serial = serial();
     // The SIMD backend's `_into` kernels keep their register tile on the stack; the packed
     // weight replicas they stream were allocated once at `Model::new` and are read-only
     // here, so the allocation-free contract extends to the packed decode path verbatim —
@@ -133,6 +165,7 @@ fn simd_decode_steps_after_warmup_allocate_nothing() {
 
 #[test]
 fn simd_unpacked_decode_steps_after_warmup_allocate_nothing() {
+    let _serial = serial();
     // `set_weight_packing(false)` reroutes every weight GEMM through the legacy unpacked
     // kernels without repacking or dropping buffers, so the A/B switch the packed-vs-
     // unpacked benchmarks rely on preserves the zero-allocation contract on both sides.
@@ -147,6 +180,7 @@ fn simd_unpacked_decode_steps_after_warmup_allocate_nothing() {
 
 #[test]
 fn packed_checksummed_gemv_reuses_buffers_without_allocating() {
+    let _serial = serial();
     // Engine-level statement of the same contract: once the packed replica exists and the
     // destination/scratch buffers have been sized by a first call, repeated checksummed
     // packed GEMVs (the per-layer decode workload) perform zero heap allocations.
@@ -190,11 +224,9 @@ fn packed_checksummed_gemv_reuses_buffers_without_allocating() {
 
 #[test]
 fn simd_protected_decode_steps_after_warmup_allocate_nothing() {
+    let _serial = serial();
     let model = model_on(EngineKind::Simd);
-    let mut protector = SchemeProtector::with_default_regions(
-        ProtectionScheme::StatisticalAbft,
-        SystolicArray::small(Dataflow::WeightStationary),
-    );
+    let mut protector = statistical_protector();
     let allocations = count_decode_allocations(&model, &mut protector, 64, 40);
     assert_eq!(
         allocations, 0,
@@ -204,14 +236,12 @@ fn simd_protected_decode_steps_after_warmup_allocate_nothing() {
 
 #[test]
 fn protected_decode_steps_after_warmup_allocate_nothing() {
+    let _serial = serial();
     // Always-on detection must stay cheap enough to leave on: the fault-free statistical
     // ABFT inspection path (fused checksums + protector-owned scratch) is also
     // allocation-free after warmup.
     let model = reference_model();
-    let mut protector = SchemeProtector::with_default_regions(
-        ProtectionScheme::StatisticalAbft,
-        SystolicArray::small(Dataflow::WeightStationary),
-    );
+    let mut protector = statistical_protector();
     let allocations = count_decode_allocations(&model, &mut protector, 64, 40);
     assert_eq!(
         allocations, 0,
@@ -231,6 +261,7 @@ fn sharded_model_on(engine: EngineKind, degree: usize) -> Model {
 
 #[test]
 fn sharded_decode_steps_after_warmup_allocate_nothing() {
+    let _serial = serial();
     // The counting allocator is global, so it also sees the rank threads: the zero budget
     // covers the whole TP machinery — mailbox dispatch, each rank's resident accumulator
     // and checksum segments, and the caller-side stripe merge. Everything was sized during
@@ -245,17 +276,63 @@ fn sharded_decode_steps_after_warmup_allocate_nothing() {
 
 #[test]
 fn sharded_protected_decode_steps_after_warmup_allocate_nothing() {
+    let _serial = serial();
     // The checksummed sharded path adds the per-shard expected/observed segment merge and
     // the protector's fused inspection on top — still zero allocations after warmup, with
     // a ragged shard count (3 does not divide tiny-opt's projection widths).
     let model = sharded_model_on(EngineKind::Simd, 3);
-    let mut protector = SchemeProtector::with_default_regions(
-        ProtectionScheme::StatisticalAbft,
-        SystolicArray::small(Dataflow::WeightStationary),
-    );
+    let mut protector = statistical_protector();
     let allocations = count_decode_allocations(&model, &mut protector, 64, 40);
     assert_eq!(
         allocations, 0,
         "fault-free protected sharded decode must perform zero heap allocations per step"
+    );
+}
+
+#[test]
+fn injected_bitflip_decode_steps_after_warmup_allocate_nothing() {
+    // Uniform bit flips at the 0.70 V operating point, sampled by geometric skips: an armed
+    // injector in front of the protector keeps decode allocation-free, whether or not a
+    // fault lands in the measured window.
+    let _serial = serial();
+    let model = model_on(EngineKind::Simd);
+    let ber = VoltageBerCurve::default_14nm().ber_at(0.70);
+    let mut injector = ErrorInjector::everywhere(BitFlipModel::uniform(ber), 5);
+    let mut protector = statistical_protector();
+    let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
+    let allocations = count_decode_allocations(&model, &mut chain, 64, 40);
+    drop(chain);
+    assert!(
+        injector.stats().gemms_targeted > 0,
+        "the injector was armed"
+    );
+    assert_eq!(
+        allocations, 0,
+        "decode under a bit-flip injector must perform zero heap allocations per step"
+    );
+}
+
+#[test]
+fn injected_magfreq_decode_steps_after_warmup_allocate_nothing() {
+    // One 2^30 error in every GEMM: every step exercises the injector's position sampling
+    // and the protector's detection, attribution and in-place recovery.
+    let _serial = serial();
+    let model = model_on(EngineKind::Simd);
+    let mut injector = ErrorInjector::everywhere(MagFreqModel::new(1 << 30, 1), 5);
+    let mut protector = statistical_protector();
+    let mut chain = HookChain::new().with(&mut injector).with(&mut protector);
+    let allocations = count_decode_allocations(&model, &mut chain, 64, 40);
+    drop(chain);
+    assert_eq!(
+        injector.stats().gemms_corrupted,
+        injector.stats().gemms_targeted
+    );
+    assert!(
+        protector.stats().recoveries_triggered > 0,
+        "faults were repaired"
+    );
+    assert_eq!(
+        allocations, 0,
+        "decode under a magnitude/frequency injector must perform zero heap allocations per step"
     );
 }
